@@ -454,14 +454,7 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 		}
 		for i, e := range engines {
 			outstanding[i] = e.OutstandingTokens()
-		}
-		if needBacklog {
-			// Backlog has no consumer beyond the ttft-pressure policy
-			// and the saturation signal; skip the second per-node scan
-			// otherwise.
-			for i, e := range engines {
-				backlog[i] = e.PrefillBacklog()
-			}
+			backlog[i] = e.PrefillBacklog()
 		}
 		r := ev.req
 		if cachedPrefix != nil {
@@ -483,6 +476,8 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 				Load: outstanding,
 			}
 			if needBacklog {
+				// Only runs whose decisions read the backlog carry its
+				// snapshot on route events.
 				rev.Backlog = backlog
 			}
 			rrec.Record(rev)

@@ -62,6 +62,17 @@ type Engine struct {
 	now     int64
 	kvUsed  int64 // KV tokens reserved by live streams (capacity gate)
 
+	// Load ledgers, the running totals behind the router's O(1) load
+	// signals: owedDecode is the decode tokens the node still owes
+	// (OutstandingTokens), owedPrefill the prompt tokens it still has to
+	// prefill (PrefillBacklog). A queued or pending request owes its full
+	// budgets; a running stream owes its left and prefillLeft. Every
+	// transition that moves a request between those states, or advances
+	// a stream, adjusts them: Submit, admission, preemption requeue,
+	// applyStep and Crash.
+	owedDecode  int64
+	owedPrefill int64
+
 	// Preemption state (Sched.Preempt != PreemptOff): resume maps a
 	// preempted request's ID to the decode tokens it had generated when
 	// evicted, so re-admission recomputes the KV prefix (prompt plus
@@ -262,6 +273,8 @@ func (e *Engine) Submit(req Request) error {
 	})
 	e.pending = append(e.pending, req)
 	e.unfinished++
+	e.owedDecode += int64(req.DecodeTokens)
+	e.owedPrefill += int64(req.PromptLen)
 	if e.rec != nil {
 		e.rec.Record(telemetry.Event{
 			Kind: telemetry.KindArrive, Cycle: req.ArrivalCycle,
@@ -335,7 +348,8 @@ func (e *Engine) admit() {
 			s.kvLen = prefix
 			s.prefillLeft = req.PromptLen - prefix
 		}
-		if res, resumed := e.resume[req.ID]; resumed {
+		res, resumed := e.resume[req.ID]
+		if resumed {
 			// Re-admission after preemption (or redispatch after a node
 			// crash): the dropped KV prefix — the prompt plus every token
 			// generated before eviction — is recomputed as prefill (minus
@@ -361,7 +375,13 @@ func (e *Engine) admit() {
 				s.kvLen = req.PromptLen + res
 				s.prefillLeft = 0
 			}
-			e.slots[slot] = s
+		}
+		e.slots[slot] = s
+		// The request owed its full budgets while queued; from here on it
+		// owes what the stream has left.
+		e.owedDecode += int64(s.left - req.DecodeTokens)
+		e.owedPrefill += int64(s.prefillLeft - req.PromptLen)
+		if resumed {
 			if e.rec != nil {
 				e.rec.Record(telemetry.Event{
 					Kind: telemetry.KindAdmit, Cycle: e.now,
@@ -371,7 +391,6 @@ func (e *Engine) admit() {
 			}
 			continue
 		}
-		e.slots[slot] = s
 		e.queueLats = append(e.queueLats, float64(e.now-req.ArrivalCycle))
 		st := &e.stats[e.statIdx[req.ID]]
 		st.AdmitCycle = e.now
@@ -467,6 +486,8 @@ func (e *Engine) tryPreempt(head Request, need int64) bool {
 		}
 		e.resume[v.req.ID] = v.tokens
 		e.queue = append(e.queue, v.req)
+		e.owedDecode += int64(v.req.DecodeTokens - v.left)
+		e.owedPrefill += int64(v.req.PromptLen - v.prefillLeft)
 		e.preemptions++
 		e.stats[e.statIdx[v.req.ID]].Preemptions++
 		if e.rec != nil {
@@ -665,6 +686,7 @@ func (e *Engine) applyStep(stepCycles int64, ctr *stats.Counters) {
 		if rs.ChunkLen > 0 {
 			s.kvLen += rs.ChunkLen
 			s.prefillLeft -= rs.ChunkLen
+			e.owedPrefill -= int64(rs.ChunkLen)
 			e.prefillTokens += int64(rs.ChunkLen)
 			e.prefillSteps++
 			if e.rec != nil {
@@ -678,6 +700,7 @@ func (e *Engine) applyStep(stepCycles int64, ctr *stats.Counters) {
 		}
 		s.kvLen++
 		s.left--
+		e.owedDecode--
 		s.tokens++
 		e.tokens++
 		e.tokenLats = append(e.tokenLats, float64(stepCycles))
@@ -846,6 +869,7 @@ func (e *Engine) Crash() (victims []CrashVictim, lost int64) {
 	e.queue = e.queue[:0]
 	e.pending = e.pending[:0]
 	e.kvUsed = 0
+	e.owedDecode, e.owedPrefill = 0, 0
 	e.resume = nil
 	e.redisp = nil
 	e.unfinished = 0
@@ -954,46 +978,22 @@ func (e *Engine) Submitted() int { return len(e.stats) }
 
 // OutstandingTokens is the router's load signal: the decode tokens
 // the node still owes — remaining budgets of running streams plus the
-// full budgets of queued and not-yet-arrived submitted requests.
-func (e *Engine) OutstandingTokens() int64 {
-	var n int64
-	for _, s := range e.slots {
-		if s != nil {
-			n += int64(s.left)
-		}
-	}
-	for _, r := range e.queue {
-		n += int64(r.DecodeTokens)
-	}
-	for _, r := range e.pending {
-		n += int64(r.DecodeTokens)
-	}
-	return n
-}
+// full budgets of queued and not-yet-arrived submitted requests. O(1):
+// it reads the owedDecode ledger.
+func (e *Engine) OutstandingTokens() int64 { return e.owedDecode }
 
 // PrefillBacklog is the router's time-to-first-token pressure signal:
 // the prompt tokens the node still has to prefill before its requests
 // emit their first token — the un-prefilled remainder of running
 // streams plus the whole prompts of queued and not-yet-arrived
 // submitted requests. Zero under the decode-only scheduler (the
-// prompt is prefilled elsewhere, the node owes none of it).
+// prompt is prefilled elsewhere, the node owes none of it). O(1): it
+// reads the owedPrefill ledger.
 func (e *Engine) PrefillBacklog() int64 {
 	if e.sched.Policy == SchedDecodeOnly {
 		return 0
 	}
-	var n int64
-	for _, s := range e.slots {
-		if s != nil {
-			n += int64(s.prefillLeft)
-		}
-	}
-	for _, r := range e.queue {
-		n += int64(r.PromptLen)
-	}
-	for _, r := range e.pending {
-		n += int64(r.PromptLen)
-	}
-	return n
+	return e.owedPrefill
 }
 
 // CachedPrefix returns the KV tokens the engine's session prefix

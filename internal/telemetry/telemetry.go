@@ -27,7 +27,10 @@
 // (the serving.StepCacheNoMemo mode needs no normalisation at all).
 package telemetry
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Kind enumerates the lifecycle event types. The zero value is
 // KindArrive; every recorded event carries exactly one Kind.
@@ -294,21 +297,35 @@ func StripMemoHits(events []Event) {
 	}
 }
 
-// Events merges all buffers into one stream ordered by (Cycle, buffer,
-// append sequence), with the router buffer first among same-cycle
-// events. Each buffer is already cycle-monotonic (engines and router
-// advance time forward only), so a stable sort on Cycle yields a total
-// deterministic order that does not depend on goroutine scheduling.
+// Events merges all buffers into one stream ordered by Cycle, then
+// buffer (the router before node 0, nodes by index), then append
+// sequence within a buffer. A buffer is not necessarily cycle-monotonic
+// (an engine stamps gauge samples on grid boundaries behind its clock),
+// so the merge sorts small (cycle, buffer, index) keys rather than the
+// events themselves and then gathers once. The order is total and
+// deterministic: it does not depend on goroutine scheduling.
 func (c *Collector) Events() []Event {
-	total := c.router.Len()
-	for _, b := range c.nodes {
+	bufs := append([]*Buffer{&c.router}, c.nodes...)
+	total := 0
+	for _, b := range bufs {
 		total += b.Len()
 	}
-	out := make([]Event, 0, total)
-	out = append(out, c.router.events...)
-	for _, b := range c.nodes {
-		out = append(out, b.events...)
+	type key struct {
+		cycle    int64
+		buf, idx int32
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Cycle < out[j].Cycle })
+	keys := make([]key, 0, total)
+	for bi, b := range bufs {
+		for i := range b.events {
+			keys = append(keys, key{b.events[i].Cycle, int32(bi), int32(i)})
+		}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		return cmp.Or(cmp.Compare(a.cycle, b.cycle), cmp.Compare(a.buf, b.buf), cmp.Compare(a.idx, b.idx))
+	})
+	out := make([]Event, len(keys))
+	for i, k := range keys {
+		out[i] = bufs[k.buf].events[k.idx]
+	}
 	return out
 }

@@ -1,8 +1,11 @@
 package telemetry
 
 import (
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -82,6 +85,45 @@ func TestCollectorMergeOrder(t *testing.T) {
 	}
 	if c.Nodes() != 2 {
 		t.Errorf("Nodes() = %d, want 2", c.Nodes())
+	}
+
+	// A seeded random stream with heavy cycle ties across the router
+	// and several nodes, whose node buffers are not cycle-monotonic
+	// (gauge samples stamped on a grid boundary behind events already
+	// recorded), must merge exactly as a stable sort on Cycle of the
+	// router-then-nodes concatenation.
+	rng := rand.New(rand.NewSource(7))
+	c = NewCollector(20)
+	recs := []Recorder{c.Router()}
+	for i := 0; i < 4; i++ {
+		recs = append(recs, c.Node(i))
+	}
+	clock := make([]int64, len(recs))
+	for seq := 0; seq < 2000; seq++ {
+		b := rng.Intn(len(recs))
+		clock[b] += 10 * int64(rng.Intn(3))
+		ev := Event{Kind: KindDecode, Cycle: clock[b], Req: seq}
+		switch {
+		case b == 0:
+			ev.Kind, ev.Load = KindRoute, []int64{int64(seq), clock[b]}
+		case rng.Intn(4) == 0:
+			// Stamped on the sampling grid at or behind the clock.
+			ev.Kind, ev.Cycle = KindSample, max(0, clock[b]/20*20-20*int64(rng.Intn(2)))
+		}
+		recs[b].Record(ev)
+	}
+	ref := append([]Event(nil), c.router.Events()...)
+	for _, nb := range c.nodes {
+		ref = append(ref, nb.Events()...)
+	}
+	sort.SliceStable(ref, func(i, j int) bool { return ref[i].Cycle < ref[j].Cycle })
+	if merged := c.Events(); !reflect.DeepEqual(merged, ref) {
+		for i := range ref {
+			if i >= len(merged) || !reflect.DeepEqual(merged[i], ref[i]) {
+				t.Fatalf("random stream: merged event %d differs from the stable-sort reference", i)
+			}
+		}
+		t.Fatalf("random stream: merged %d events, want %d", len(merged), len(ref))
 	}
 }
 
