@@ -110,3 +110,70 @@ func diff(want, got []byte) string {
 	}
 	return "contents equal but lengths differ"
 }
+
+// CompareDecoded pins a JSON document by content rather than layout:
+// doc is decoded with UseNumber, so every number keeps its literal
+// text, and Compare re-encodes it with sorted keys. Key order and
+// indentation are therefore free, but every key (zero-valued ones
+// included) and every value is pinned. The leaves under any object key
+// named in volatile are replaced by 0: their key set stays pinned while
+// their values, diagnostics that depend on process history, do not.
+func CompareDecoded(t *testing.T, path string, doc []byte, volatile ...string) {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(doc))
+	dec.UseNumber()
+	var v any
+	if err := dec.Decode(&v); err != nil {
+		t.Fatalf("goldentest: decode for %s: %v", path, err)
+	}
+	Compare(t, path, zeroUnder(v, volatile, false))
+}
+
+// zeroUnder returns v with every leaf under a key in keys replaced by
+// json.Number("0") (every leaf at all when zero is set).
+func zeroUnder(v any, keys []string, zero bool) any {
+	switch x := v.(type) {
+	case map[string]any:
+		for k, e := range x {
+			z := zero
+			for _, name := range keys {
+				z = z || k == name
+			}
+			x[k] = zeroUnder(e, keys, z)
+		}
+		return x
+	case []any:
+		for i, e := range x {
+			x[i] = zeroUnder(e, keys, zero)
+		}
+		return x
+	}
+	if zero {
+		return json.Number("0")
+	}
+	return v
+}
+
+// CaptureStdout runs fn with os.Stdout diverted to a temporary file and
+// returns what it wrote, failing the test if fn fails. It is for CLI
+// tests that drive a command's run function in-process.
+func CaptureStdout(t *testing.T, fn func() error) []byte {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	old := os.Stdout
+	os.Stdout = f
+	err = fn()
+	os.Stdout = old
+	if err != nil {
+		t.Fatalf("run failed: %v", err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}

@@ -13,6 +13,7 @@ cd "$(dirname "$0")/.."
 go test ./internal/serving -run 'TestDecodeOnlyGoldenEquivalence' -update -count=1
 go test ./internal/cluster -run 'TestClusterDecodeOnlyGolden' -update -count=1
 go test ./internal/telemetry -run 'TestWritePerfettoGolden|TestWriteJSONLGolden|TestWriteTimeseriesCSVGolden|TestWritePerfettoHWGolden|TestWriteJSONLHWGolden|TestWriteTimeseriesCSVHWGolden' -update -count=1
+go test ./cmd/cluster ./cmd/serve -run 'TestCLIGolden' -update -count=1
 
 git --no-pager diff --stat -- '**/testdata/*.golden.*' || true
 echo "goldens refreshed; inspect the diff above before committing"
