@@ -99,7 +99,6 @@ import (
 	"repro/internal/hwprof"
 	"repro/internal/profiling"
 	"repro/internal/serving"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -479,7 +478,6 @@ func run(o cliOpts) error {
 		NumSessions: o.sessions,
 	}
 
-	base := sim.DefaultConfig()
 	cachePol := experiments.Policy{Label: o.policy, Throttle: pol.Throttle, Arbiter: pol.Arbiter}
 	// Telemetry output paths are validated before any simulation —
 	// inside each mode, where the sweep's cell count (and so the %
@@ -496,7 +494,7 @@ func run(o cliOpts) error {
 	if o.hwprofOut != "" && !o.hwprof {
 		return fmt.Errorf("-hwprof-out needs -hwprof")
 	}
-	opts := experiments.Options{Base: &base, Scale: o.scale, Parallel: o.parallel, StepCache: mode, Trace: trace,
+	opts := experiments.Options{Scale: o.scale, Parallel: o.parallel, StepCache: mode, Trace: trace,
 		HWProf: hwprof.Spec{Enabled: o.hwprof, SampleEvery: o.sampleEvery}, HWProfOut: o.hwprofOut}
 	if o.verbose {
 		opts.Log = os.Stderr
@@ -532,73 +530,116 @@ func run(o cliOpts) error {
 			return fmt.Errorf("%s names fleet-relative node indices and takes a single -nodes count, got %v", what, nodeCounts)
 		}
 	}
-	if o.rates != "" {
-		return runOverloadGrid(o, ccfg, nodeCounts, routerPols, cachePol, preemptPol, overload, slo, opts)
+	sw := sweep{o: o, ccfg: ccfg, nodes: nodeCounts, routers: routerPols, pol: cachePol, slo: slo, opts: opts}
+	var text string
+	var doc jsonDoc
+	switch {
+	case o.rates != "":
+		text, doc, err = sw.overload(preemptPol, overload)
+	case o.prefixCaches != "":
+		text, doc, err = sw.prefix()
+	case o.faultMTBFs != "":
+		text, doc, err = sw.fault()
+	default:
+		text, doc, err = sw.standard(overload, faults)
 	}
-	if o.prefixCaches != "" {
-		return runPrefixGrid(o, ccfg, nodeCounts, routerPols, cachePol, opts)
-	}
-	if o.faultMTBFs != "" {
-		return runFaultGrid(o, ccfg, nodeCounts, routerPols, cachePol, slo, opts)
-	}
-
-	if err := trace.Validate(len(nodeCounts)*len(routerPols) > 1); err != nil {
-		return err
-	}
-	if err := telemetry.ValidateOutPath("-hwprof-out", o.hwprofOut, len(nodeCounts)*len(routerPols) > 1); err != nil {
-		return err
-	}
-	scn, err := cluster.NewScenario(ccfg)
-	if err != nil {
-		return err
-	}
-	grid, err := experiments.ClusterGridFaulty(scn, nodeCounts, routerPols, cachePol, overload, faults, opts)
 	if err != nil {
 		return err
 	}
 	if o.jsonOut {
-		return writeJSON(grid, sched, o.scale, slo)
+		doc.Policy, doc.Scale = cachePol.Label, o.scale
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		return enc.Encode(doc)
 	}
-	fmt.Print(grid.Render())
-	if slo.Enabled() {
-		for i, n := range grid.NodeCounts {
-			for j, r := range grid.Routers {
-				fmt.Printf("\ngoodput under SLO [nodes=%d %s]\n%s", n, r, grid.Metrics[i][j].Goodput(slo))
-			}
-		}
-	}
-	// With no -hwprof-out the full per-cell fleet profile reports
-	// follow the table on stdout (the grid runner wrote them to files
-	// otherwise).
-	if o.hwprof && o.hwprofOut == "" {
-		for i, n := range grid.NodeCounts {
-			for j, r := range grid.Routers {
-				if hw := grid.Metrics[i][j].HW; hw != nil {
-					fmt.Printf("\n[nodes=%d %s]\n%s", n, r, hw.Render())
-				}
-			}
-		}
-	}
+	fmt.Print(text)
 	return nil
 }
 
-// runOverloadGrid is the -rates mode: one fleet shape swept across
+// sweep is what every grid mode shares: the parsed flags, the workload
+// generator config, the -nodes and -routers lists, the cache policy,
+// the SLO and the grid runner options. Each mode validates its own
+// flags, runs its grid and returns the text report and the -json
+// document.
+type sweep struct {
+	o       cliOpts
+	ccfg    cluster.ScenarioConfig
+	nodes   []int
+	routers []cluster.Policy
+	pol     experiments.Policy
+	slo     serving.SLO
+	opts    experiments.Options
+}
+
+// checkOutputs validates the telemetry and -hwprof-out paths before any
+// simulation, once the mode's cell count (and so the % placeholder
+// requirement) is known.
+func (sw *sweep) checkOutputs(cells int) error {
+	if err := sw.opts.Trace.Validate(cells > 1); err != nil {
+		return err
+	}
+	return telemetry.ValidateOutPath("-hwprof-out", sw.o.hwprofOut, cells > 1)
+}
+
+// standard is the default mode: one scenario across the -nodes ×
+// -routers matrix, every cell under the -shed overload control and the
+// -faults schedule. The text report follows the table with each cell's
+// goodput under the SLO (when set) and, with no -hwprof-out, each
+// cell's fleet profile report.
+func (sw *sweep) standard(overload cluster.OverloadConfig, faults cluster.FaultConfig) (string, jsonDoc, error) {
+	if err := sw.checkOutputs(len(sw.nodes) * len(sw.routers)); err != nil {
+		return "", jsonDoc{}, err
+	}
+	scn, err := cluster.NewScenario(sw.ccfg)
+	if err != nil {
+		return "", jsonDoc{}, err
+	}
+	grid, err := experiments.ClusterGrid(scn, sw.nodes, sw.routers, sw.pol, overload, faults, sw.opts)
+	if err != nil {
+		return "", jsonDoc{}, err
+	}
+	var judged *serving.SLO
+	if sw.slo.Enabled() {
+		judged = &sw.slo
+	}
+	doc := jsonDoc{Scenario: scn.Name, Requests: len(scn.Requests), Scheduler: experiments.SchedLabel(sw.ccfg.Sched)}
+	var text, reports strings.Builder
+	text.WriteString(grid.Render())
+	for i, n := range sw.nodes {
+		for j, r := range sw.routers {
+			m := grid.Metrics[i][j]
+			cell := newJSONCell(m, judged)
+			cell.Nodes, cell.Router = n, r.String()
+			doc.Cells = append(doc.Cells, cell)
+			if judged != nil {
+				fmt.Fprintf(&text, "\ngoodput under SLO [nodes=%d %s]\n%s", n, r, *cell.Goodput)
+			}
+			// With no -hwprof-out the runner wrote no report files, so
+			// the reports follow the table on stdout.
+			if m.HW != nil && sw.o.hwprofOut == "" {
+				fmt.Fprintf(&reports, "\n[nodes=%d %s]\n%s", n, r, m.HW.Render())
+			}
+		}
+	}
+	text.WriteString(reports.String())
+	return text.String(), doc, nil
+}
+
+// overload is the -rates mode: one fleet shape swept across
 // arrival-rate multipliers × overload-control combos, reporting the
 // goodput-vs-load curves. The combo ladder is built from the flags:
 // the uncontrolled baseline, plus preemption (-preempt), shedding
 // (-shed) and their combination when both are set.
-func runOverloadGrid(o cliOpts, ccfg cluster.ScenarioConfig, nodeCounts []int, routerPols []cluster.Policy,
-	cachePol experiments.Policy, preemptPol serving.PreemptPolicy, overload cluster.OverloadConfig,
-	slo serving.SLO, opts experiments.Options) error {
-	rates, err := parseRates(o.rates)
+func (sw *sweep) overload(preemptPol serving.PreemptPolicy, overload cluster.OverloadConfig) (string, jsonDoc, error) {
+	rates, err := parseRates(sw.o.rates)
 	if err != nil {
-		return err
+		return "", jsonDoc{}, err
 	}
-	if len(nodeCounts) != 1 {
-		return fmt.Errorf("-rates (overload-grid mode) takes a single -nodes count, got %v", nodeCounts)
+	if len(sw.nodes) != 1 {
+		return "", jsonDoc{}, fmt.Errorf("-rates (overload-grid mode) takes a single -nodes count, got %v", sw.nodes)
 	}
-	if len(routerPols) != 1 {
-		return fmt.Errorf("-rates (overload-grid mode) takes a single -routers policy, got %d", len(routerPols))
+	if len(sw.routers) != 1 {
+		return "", jsonDoc{}, fmt.Errorf("-rates (overload-grid mode) takes a single -routers policy, got %d", len(sw.routers))
 	}
 	combos := []experiments.OverloadCombo{{Label: "none"}}
 	if preemptPol != serving.PreemptOff {
@@ -611,66 +652,70 @@ func runOverloadGrid(o cliOpts, ccfg cluster.ScenarioConfig, nodeCounts []int, r
 		}
 	}
 	if len(combos) == 1 {
-		return fmt.Errorf("-rates (overload-grid mode) needs -preempt and/or -shed to compare against the uncontrolled baseline")
+		return "", jsonDoc{}, fmt.Errorf("-rates (overload-grid mode) needs -preempt and/or -shed to compare against the uncontrolled baseline")
 	}
-	if err := opts.Trace.Validate(len(rates)*len(combos) > 1); err != nil {
-		return err
+	if err := sw.checkOutputs(len(rates) * len(combos)); err != nil {
+		return "", jsonDoc{}, err
 	}
-	if err := telemetry.ValidateOutPath("-hwprof-out", o.hwprofOut, len(rates)*len(combos) > 1); err != nil {
-		return err
-	}
-	grid, err := experiments.OverloadGrid(ccfg, rates, combos, nodeCounts[0], routerPols[0], cachePol, slo, opts)
+	grid, err := experiments.OverloadGrid(sw.ccfg, rates, combos, sw.nodes[0], sw.routers[0], sw.pol, sw.slo, sw.opts)
 	if err != nil {
-		return err
+		return "", jsonDoc{}, err
 	}
-	if o.jsonOut {
-		return writeOverloadJSON(grid, o.scale)
+	doc := jsonDoc{Workload: sw.ccfg.Name, Nodes: grid.Nodes, Router: grid.Router.String(), SLO: &sw.slo}
+	for i, rate := range rates {
+		for j, combo := range combos {
+			cell := newJSONCell(grid.Metrics[i][j], &sw.slo)
+			cell.Rate, cell.Combo = rate, combo.Label
+			doc.Cells = append(doc.Cells, cell)
+		}
 	}
-	fmt.Print(grid.Render())
-	return nil
+	return grid.Render(), doc, nil
 }
 
-// runFaultGrid is the -fault-mtbfs/-fault-mttrs mode: one fleet shape
+// fault is the -fault-mtbfs/-fault-mttrs mode: one fleet shape
 // swept across an MTBF × MTTR matrix of generated failure regimes,
 // each cell run under both recovery policies (redispatch and drop),
 // reporting goodput per regime. The crash schedules are generated from
 // -seed, with -fault-count incidents per schedule and -fault-detect
 // cycles of detection latency.
-func runFaultGrid(o cliOpts, ccfg cluster.ScenarioConfig, nodeCounts []int, routerPols []cluster.Policy,
-	cachePol experiments.Policy, slo serving.SLO, opts experiments.Options) error {
-	mtbfs, err := parseFaultTimes("-fault-mtbfs", o.faultMTBFs)
+func (sw *sweep) fault() (string, jsonDoc, error) {
+	mtbfs, err := parseFaultTimes("-fault-mtbfs", sw.o.faultMTBFs)
 	if err != nil {
-		return err
+		return "", jsonDoc{}, err
 	}
-	mttrs, err := parseFaultTimes("-fault-mttrs", o.faultMTTRs)
+	mttrs, err := parseFaultTimes("-fault-mttrs", sw.o.faultMTTRs)
 	if err != nil {
-		return err
+		return "", jsonDoc{}, err
 	}
-	if o.faultDetect < 0 {
-		return fmt.Errorf("-fault-detect must be non-negative, got %d", o.faultDetect)
+	if sw.o.faultDetect < 0 {
+		return "", jsonDoc{}, fmt.Errorf("-fault-detect must be non-negative, got %d", sw.o.faultDetect)
 	}
-	if o.faultCount <= 0 {
-		return fmt.Errorf("-fault-count must be positive, got %d", o.faultCount)
+	if sw.o.faultCount <= 0 {
+		return "", jsonDoc{}, fmt.Errorf("-fault-count must be positive, got %d", sw.o.faultCount)
 	}
-	if len(routerPols) != 1 {
-		return fmt.Errorf("-fault-mtbfs (fault-grid mode) takes a single -routers policy, got %d", len(routerPols))
+	if len(sw.routers) != 1 {
+		return "", jsonDoc{}, fmt.Errorf("-fault-mtbfs (fault-grid mode) takes a single -routers policy, got %d", len(sw.routers))
 	}
-	if err := opts.Trace.Validate(2*len(mtbfs)*len(mttrs) > 1); err != nil {
-		return err
+	if err := sw.checkOutputs(2 * len(mtbfs) * len(mttrs)); err != nil {
+		return "", jsonDoc{}, err
 	}
-	if err := telemetry.ValidateOutPath("-hwprof-out", o.hwprofOut, 2*len(mtbfs)*len(mttrs) > 1); err != nil {
-		return err
-	}
-	grid, err := experiments.FaultGrid(ccfg, mtbfs, mttrs, o.seed, o.faultCount, o.faultDetect,
-		nodeCounts[0], routerPols[0], cachePol, slo, opts)
+	grid, err := experiments.FaultGrid(sw.ccfg, mtbfs, mttrs, sw.o.seed, sw.o.faultCount, sw.o.faultDetect,
+		sw.nodes[0], sw.routers[0], sw.pol, sw.slo, sw.opts)
 	if err != nil {
-		return err
+		return "", jsonDoc{}, err
 	}
-	if o.jsonOut {
-		return writeFaultJSON(grid, o.scale)
+	doc := jsonDoc{Workload: sw.ccfg.Name, Nodes: grid.Nodes, Router: grid.Router.String(),
+		Seed: &sw.o.seed, Count: sw.o.faultCount, Detect: &sw.o.faultDetect, SLO: &sw.slo}
+	for i, mtbf := range mtbfs {
+		for j, mttr := range mttrs {
+			for k, recovery := range []string{"redispatch", "drop"} {
+				cell := newJSONCell(grid.Metrics[i][j][k], &sw.slo)
+				cell.MTBF, cell.MTTR, cell.Recovery = mtbf, mttr, recovery
+				doc.Cells = append(doc.Cells, cell)
+			}
+		}
 	}
-	fmt.Print(grid.Render())
-	return nil
+	return grid.Render(), doc, nil
 }
 
 // parseFaultTimes reads one of the fault-grid time axes, rejecting
@@ -698,251 +743,103 @@ func parseFaultTimes(name, list string) ([]float64, error) {
 	return out, nil
 }
 
-// runPrefixGrid is the -prefix-caches mode: one fleet shape swept
+// prefix is the -prefix-caches mode: one fleet shape swept
 // across session locality (-session-sweep, defaulting to the single
 // -sessions count) × per-node prefix-cache capacity × router,
 // reporting the TTFT-vs-router curves of the prefix-reuse study. Each
 // cell regenerates the workload at its session count, so the same seed
 // explores the same population at every locality point.
-func runPrefixGrid(o cliOpts, ccfg cluster.ScenarioConfig, nodeCounts []int, routerPols []cluster.Policy,
-	cachePol experiments.Policy, opts experiments.Options) error {
-	caches, err := parseCaches(o.prefixCaches)
+func (sw *sweep) prefix() (string, jsonDoc, error) {
+	caches, err := parseCaches(sw.o.prefixCaches)
 	if err != nil {
-		return err
+		return "", jsonDoc{}, err
 	}
-	sessions := []int{o.sessions}
-	if o.sessionSweep != "" {
-		if sessions, err = parseSessionSweep(o.sessionSweep); err != nil {
-			return err
+	sessions := []int{sw.o.sessions}
+	if sw.o.sessionSweep != "" {
+		if sessions, err = parseSessionSweep(sw.o.sessionSweep); err != nil {
+			return "", jsonDoc{}, err
 		}
 	}
-	if len(nodeCounts) != 1 {
-		return fmt.Errorf("-prefix-caches (prefix-grid mode) takes a single -nodes count, got %v", nodeCounts)
+	if len(sw.nodes) != 1 {
+		return "", jsonDoc{}, fmt.Errorf("-prefix-caches (prefix-grid mode) takes a single -nodes count, got %v", sw.nodes)
 	}
-	if err := opts.Trace.Validate(len(sessions)*len(caches)*len(routerPols) > 1); err != nil {
-		return err
+	if err := sw.checkOutputs(len(sessions) * len(caches) * len(sw.routers)); err != nil {
+		return "", jsonDoc{}, err
 	}
-	if err := telemetry.ValidateOutPath("-hwprof-out", o.hwprofOut, len(sessions)*len(caches)*len(routerPols) > 1); err != nil {
-		return err
-	}
-	grid, err := experiments.PrefixGrid(ccfg, sessions, caches, routerPols, nodeCounts[0], cachePol, opts)
+	grid, err := experiments.PrefixGrid(sw.ccfg, sessions, caches, sw.routers, sw.nodes[0], sw.pol, sw.opts)
 	if err != nil {
-		return err
+		return "", jsonDoc{}, err
 	}
-	if o.jsonOut {
-		return writePrefixJSON(grid, o.scale)
+	doc := jsonDoc{Workload: sw.ccfg.Name, Nodes: grid.Nodes, SessionDepth: &sw.ccfg.SessionDepth}
+	for i, s := range sessions {
+		for j, c := range caches {
+			for k, rt := range sw.routers {
+				cell := newJSONCell(grid.Metrics[i][j][k], nil)
+				cell.Sessions, cell.Cache, cell.Router = &s, &c, rt.String()
+				doc.Cells = append(doc.Cells, cell)
+			}
+		}
 	}
-	fmt.Print(grid.Render())
-	return nil
+	return grid.Render(), doc, nil
 }
 
-// jsonCell is one (node count, router) cell of the -json document.
+// jsonDoc is the -json report of every grid mode: the grid's identity
+// plus one entry per cell. The standard grid names its one scenario
+// (scenario, requests, scheduler); the other modes name the workload
+// family they regenerate per cell, with their fixed fleet shape and
+// generator parameters. Fields a mode does not report are omitted; the
+// ones that can legitimately be zero are pointers, so a zero a mode
+// does report is kept.
+type jsonDoc struct {
+	Scenario     string       `json:"scenario,omitempty"`
+	Requests     int          `json:"requests,omitempty"`
+	Scheduler    string       `json:"scheduler,omitempty"`
+	Workload     string       `json:"workload,omitempty"`
+	Nodes        int          `json:"nodes,omitempty"`
+	Router       string       `json:"router,omitempty"`
+	SessionDepth *int         `json:"session_depth,omitempty"`
+	Policy       string       `json:"policy"`
+	Scale        int          `json:"scale"`
+	Seed         *uint64      `json:"seed,omitempty"`
+	Count        int          `json:"fault_count,omitempty"`
+	Detect       *int64       `json:"detect_cycles,omitempty"`
+	SLO          *serving.SLO `json:"slo,omitempty"`
+	Cells        []jsonCell   `json:"cells"`
+}
+
+// jsonCell is one cell of the -json report: its axis values (nodes and
+// router; rate and combo; sessions, cache_tokens and router; or mtbf,
+// mttr and recovery) and its full fleet metrics (TTFT percentiles
+// included).
 type jsonCell struct {
-	Nodes   int              `json:"nodes"`
-	Router  string           `json:"router"`
-	Metrics *cluster.Metrics `json:"metrics"`
+	Nodes    int              `json:"nodes,omitempty"`
+	Rate     float64          `json:"rate,omitempty"`
+	Combo    string           `json:"combo,omitempty"`
+	Sessions *int             `json:"sessions,omitempty"`
+	Cache    *int64           `json:"cache_tokens,omitempty"`
+	MTBF     float64          `json:"mtbf,omitempty"`
+	MTTR     float64          `json:"mttr,omitempty"`
+	Recovery string           `json:"recovery,omitempty"`
+	Router   string           `json:"router,omitempty"`
+	Metrics  *cluster.Metrics `json:"metrics"`
 	// Counters re-exports every node's raw whole-run hardware counters
 	// at the top level, node order, so scripts consuming profiles read
 	// them without digging through the nested per-node metrics.
 	Counters []stats.Counters `json:"counters"`
-	// Goodput is present when an SLO deadline was set.
+	// Goodput is present when the cell was judged under an SLO.
 	Goodput *serving.SLOReport `json:"goodput,omitempty"`
 }
 
-// perNodeCounters extracts the raw per-node counter blocks of a fleet
-// run in node order — the scriptable profile block every -json writer
-// attaches to its cells.
-func perNodeCounters(m *cluster.Metrics) []stats.Counters {
-	out := make([]stats.Counters, len(m.PerNode))
+// newJSONCell is one cell's metrics, per-node counters and, when slo is
+// non-nil, goodput; the caller sets the axis fields.
+func newJSONCell(m *cluster.Metrics, slo *serving.SLO) jsonCell {
+	cell := jsonCell{Metrics: m, Counters: make([]stats.Counters, len(m.PerNode))}
 	for i, nm := range m.PerNode {
-		out[i] = nm.Counters
+		cell.Counters[i] = nm.Counters
 	}
-	return out
-}
-
-// jsonDoc is the -json report: the scenario identity plus every
-// cell's full fleet metrics (TTFT percentiles included).
-type jsonDoc struct {
-	Scenario  string     `json:"scenario"`
-	Requests  int        `json:"requests"`
-	Scale     int        `json:"scale"`
-	Scheduler string     `json:"scheduler"`
-	Policy    string     `json:"policy"`
-	Cells     []jsonCell `json:"cells"`
-}
-
-// writeJSON emits the grid as an indented JSON document on stdout.
-func writeJSON(grid *experiments.ClusterGridResult, sched serving.SchedulerConfig, scale int, slo serving.SLO) error {
-	doc := jsonDoc{
-		Scenario:  grid.Scenario.Name,
-		Requests:  len(grid.Scenario.Requests),
-		Scale:     scale,
-		Scheduler: experiments.SchedLabel(sched),
-		Policy:    grid.Pol.Label,
+	if slo != nil {
+		rep := m.Goodput(*slo)
+		cell.Goodput = &rep
 	}
-	for i, n := range grid.NodeCounts {
-		for j, r := range grid.Routers {
-			cell := jsonCell{Nodes: n, Router: r.String(), Metrics: grid.Metrics[i][j],
-				Counters: perNodeCounters(grid.Metrics[i][j])}
-			if slo.Enabled() {
-				rep := grid.Metrics[i][j].Goodput(slo)
-				cell.Goodput = &rep
-			}
-			doc.Cells = append(doc.Cells, cell)
-		}
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
-// prefixJSONCell is one (sessions, cache, router) cell of the
-// prefix-grid -json document.
-type prefixJSONCell struct {
-	Sessions int              `json:"sessions"`
-	Cache    int64            `json:"cache_tokens"`
-	Router   string           `json:"router"`
-	Metrics  *cluster.Metrics `json:"metrics"`
-	// Counters is every node's raw whole-run counter block, node order.
-	Counters []stats.Counters `json:"counters"`
-}
-
-// prefixJSONDoc is the prefix-grid -json report.
-type prefixJSONDoc struct {
-	Workload     string           `json:"workload"`
-	Nodes        int              `json:"nodes"`
-	SessionDepth int              `json:"session_depth"`
-	Policy       string           `json:"policy"`
-	Scale        int              `json:"scale"`
-	Cells        []prefixJSONCell `json:"cells"`
-}
-
-// writePrefixJSON emits the prefix grid as an indented JSON document
-// on stdout.
-func writePrefixJSON(grid *experiments.PrefixGridResult, scale int) error {
-	doc := prefixJSONDoc{
-		Workload:     grid.Config.Name,
-		Nodes:        grid.Nodes,
-		SessionDepth: grid.Config.SessionDepth,
-		Policy:       grid.Pol.Label,
-		Scale:        scale,
-	}
-	for i, s := range grid.Sessions {
-		for j, c := range grid.Caches {
-			for k, rt := range grid.Routers {
-				doc.Cells = append(doc.Cells, prefixJSONCell{
-					Sessions: s, Cache: c, Router: rt.String(),
-					Metrics:  grid.Cells[i][j][k].Metrics,
-					Counters: perNodeCounters(grid.Cells[i][j][k].Metrics),
-				})
-			}
-		}
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
-// faultJSONCell is one (mtbf, mttr, recovery) cell of the fault-grid
-// -json document.
-type faultJSONCell struct {
-	MTBF     float64          `json:"mtbf"`
-	MTTR     float64          `json:"mttr"`
-	Recovery string           `json:"recovery"`
-	Metrics  *cluster.Metrics `json:"metrics"`
-	// Counters is every node's raw whole-run counter block, node order.
-	Counters []stats.Counters   `json:"counters"`
-	Goodput  *serving.SLOReport `json:"goodput"`
-}
-
-// faultJSONDoc is the fault-grid -json report.
-type faultJSONDoc struct {
-	Workload string          `json:"workload"`
-	Nodes    int             `json:"nodes"`
-	Router   string          `json:"router"`
-	Policy   string          `json:"policy"`
-	Scale    int             `json:"scale"`
-	Seed     uint64          `json:"seed"`
-	Count    int             `json:"fault_count"`
-	Detect   int64           `json:"detect_cycles"`
-	SLO      serving.SLO     `json:"slo"`
-	Cells    []faultJSONCell `json:"cells"`
-}
-
-// writeFaultJSON emits the fault grid as an indented JSON document on
-// stdout.
-func writeFaultJSON(grid *experiments.FaultGridResult, scale int) error {
-	doc := faultJSONDoc{
-		Workload: grid.Config.Name,
-		Nodes:    grid.Nodes,
-		Router:   grid.Router.String(),
-		Policy:   grid.Pol.Label,
-		Scale:    scale,
-		Seed:     grid.Seed,
-		Count:    grid.Count,
-		Detect:   grid.Detect,
-		SLO:      grid.SLO,
-	}
-	for i, mtbf := range grid.MTBFs {
-		for j, mttr := range grid.MTTRs {
-			cell := grid.Cells[i][j]
-			re, dr := cell.Redispatch.Goodput, cell.Drop.Goodput
-			doc.Cells = append(doc.Cells,
-				faultJSONCell{MTBF: mtbf, MTTR: mttr, Recovery: "redispatch", Metrics: cell.Redispatch.Metrics,
-					Counters: perNodeCounters(cell.Redispatch.Metrics), Goodput: &re},
-				faultJSONCell{MTBF: mtbf, MTTR: mttr, Recovery: "drop", Metrics: cell.Drop.Metrics,
-					Counters: perNodeCounters(cell.Drop.Metrics), Goodput: &dr})
-		}
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
-// overloadJSONCell is one (rate, combo) cell of the overload-grid
-// -json document.
-type overloadJSONCell struct {
-	Rate    float64          `json:"rate"`
-	Combo   string           `json:"combo"`
-	Metrics *cluster.Metrics `json:"metrics"`
-	// Counters is every node's raw whole-run counter block, node order.
-	Counters []stats.Counters   `json:"counters"`
-	Goodput  *serving.SLOReport `json:"goodput"`
-}
-
-// overloadJSONDoc is the overload-grid -json report.
-type overloadJSONDoc struct {
-	Workload string             `json:"workload"`
-	Nodes    int                `json:"nodes"`
-	Router   string             `json:"router"`
-	Policy   string             `json:"policy"`
-	Scale    int                `json:"scale"`
-	SLO      serving.SLO        `json:"slo"`
-	Cells    []overloadJSONCell `json:"cells"`
-}
-
-// writeOverloadJSON emits the overload grid as an indented JSON
-// document on stdout.
-func writeOverloadJSON(grid *experiments.OverloadGridResult, scale int) error {
-	doc := overloadJSONDoc{
-		Workload: grid.Config.Name,
-		Nodes:    grid.Nodes,
-		Router:   grid.Router.String(),
-		Policy:   grid.Pol.Label,
-		Scale:    scale,
-		SLO:      grid.SLO,
-	}
-	for i, rate := range grid.Rates {
-		for j, combo := range grid.Combos {
-			cell := grid.Cells[i][j]
-			rep := cell.Goodput
-			doc.Cells = append(doc.Cells, overloadJSONCell{
-				Rate: rate, Combo: combo.Label, Metrics: cell.Metrics,
-				Counters: perNodeCounters(cell.Metrics), Goodput: &rep,
-			})
-		}
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	return cell
 }

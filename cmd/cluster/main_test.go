@@ -296,3 +296,33 @@ func TestRunDefaultSLOZeroIsDisabled(t *testing.T) {
 		t.Fatalf("default zero SLO rejected: %v", err)
 	}
 }
+
+// TestRunRejectsDuplicateCells: two cells with the same label would
+// write the same `%` artifact, so such a grid is rejected before any
+// simulation, naming the label, and leaves no file behind.
+func TestRunRejectsDuplicateCells(t *testing.T) {
+	for _, c := range []struct {
+		name, label string
+		mut         func(*cliOpts)
+	}{
+		{"repeated node count", "70b-6req-seed1-n2-round-robin-dynmg-bma", func(o *cliOpts) {
+			o.nodes, o.routers = "2,2", "round-robin"
+		}},
+		{"equal rates", "70b-6req-seed1-x1-n2-none", func(o *cliOpts) {
+			o.nodes, o.routers = "2", "least-outstanding"
+			o.rates, o.shed = "1,1.0", "40"
+		}},
+	} {
+		dir := t.TempDir()
+		o := goldenOpts()
+		c.mut(&o)
+		o.traceOut = dir + "/%.json"
+		err := run(o)
+		if err == nil || !strings.Contains(err.Error(), c.label) {
+			t.Errorf("%s: error %v does not name %q", c.name, err, c.label)
+		}
+		if names := dirNames(t, dir); len(names) != 0 {
+			t.Errorf("%s: rejected grid wrote %v", c.name, names)
+		}
+	}
+}

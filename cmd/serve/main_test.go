@@ -148,3 +148,20 @@ func TestRunDefaultSLOZeroIsDisabled(t *testing.T) {
 		t.Fatalf("default zero SLO rejected: %v", err)
 	}
 }
+
+// TestRunRejectsDuplicateCells: a policy listed twice would write the
+// same `%` artifacts twice, so the grid is rejected before any
+// simulation, naming the label, and leaves no file behind.
+func TestRunRejectsDuplicateCells(t *testing.T) {
+	dir := t.TempDir()
+	o := goldenOpts()
+	o.policies = "unopt,unopt"
+	o.traceOut = dir + "/%.json"
+	err := run(o)
+	if err == nil || !strings.Contains(err.Error(), "70b-6req-seed1-unopt") {
+		t.Errorf("error %v does not name the duplicated cell", err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("rejected grid wrote %d files", len(entries))
+	}
+}

@@ -1,122 +1,16 @@
 // The cluster-scale grid: the routed multi-node fleet simulator run
 // across a router-policy × node-count matrix, the way ServeGrid runs
-// one scenario across the throttle/arbiter matrix. A cluster cell is
-// one complete fleet simulation; cells are independent and
-// deterministic, so the grid fans out across the shared bounded
-// worker pool with results in stable matrix order — and each cell's
-// own node fan-out is bit-reproducible at any width, so nesting the
-// two levels of parallelism never changes a number.
+// one scenario across the throttle/arbiter matrix. Its cells run on
+// RunFleetCells (fleet.go).
 
 package experiments
 
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/cluster"
-	"repro/internal/pool"
-	"repro/internal/sim"
 )
-
-// ClusterCellSpec names one fleet simulation: a scenario on a node
-// count under a router policy and a cache policy, optionally with a
-// per-cell base configuration override.
-type ClusterCellSpec struct {
-	Scenario cluster.Scenario
-	Nodes    int
-	Router   cluster.Policy
-	// Pol is the cache-level (throttle, arbiter) policy every node
-	// runs.
-	Pol Policy
-	// Overload is the router's overload-control configuration (zero
-	// value: disabled — the pre-overload router).
-	Overload cluster.OverloadConfig
-	// Faults is the cell's node-failure schedule (zero value: a
-	// fault-free fleet — the exact pre-fault simulation).
-	Faults cluster.FaultConfig
-	// Base optionally overrides the grid's base configuration for this
-	// cell (hardware sweeps under fleet load).
-	Base *sim.Config
-}
-
-// RunClusterCells executes every cluster cell across the bounded
-// worker pool and returns the metrics in input order. Options.Scale
-// divides the L2 size exactly like the figure and serving harnesses.
-// The Options.Parallel budget is split between the two nested
-// fan-outs — cells on the outer pool, node engines inside each cell —
-// so a wide grid never oversubscribes the CPU with cells × nodes
-// goroutines; both levels are order-stable, so the split never
-// changes a number.
-func RunClusterCells(cells []ClusterCellSpec, opts Options) ([]*cluster.Metrics, error) {
-	outer := opts.parallel()
-	if outer > len(cells) {
-		outer = len(cells)
-	}
-	inner := 1
-	if outer > 0 && opts.parallel()/outer > 1 {
-		inner = opts.parallel() / outer
-	}
-	results := make([]*cluster.Metrics, len(cells))
-	err := pool.ForEach(len(cells), outer, func(i int) error {
-		c := &cells[i]
-		cfg := opts.base()
-		if c.Base != nil {
-			cfg = *c.Base
-		}
-		cfg.L2SizeBytes /= opts.scale()
-		cfg.Throttle = c.Pol.Throttle
-		cfg.Arbiter = c.Pol.Arbiter
-		col := opts.Trace.Collector()
-		m, err := cluster.Run(cfg, c.Scenario, c.Nodes, c.Router,
-			cluster.Options{Parallel: inner, StepCache: opts.StepCache, Overload: c.Overload, Faults: c.Faults, Telemetry: col, HWProf: opts.HWProf})
-		if err != nil {
-			return fmt.Errorf("cluster cell %s nodes=%d %s %s: %w",
-				c.Scenario.Name, c.Nodes, c.Router, c.Pol.Label, err)
-		}
-		label := fmt.Sprintf("%s-n%d-%s-%s", c.Scenario.Name, c.Nodes, c.Router, c.Pol.Label)
-		if col != nil {
-			if err := opts.Trace.Export(label, col); err != nil {
-				return fmt.Errorf("cluster cell %s nodes=%d %s %s: %w",
-					c.Scenario.Name, c.Nodes, c.Router, c.Pol.Label, err)
-			}
-		}
-		if m.HW != nil {
-			if err := opts.writeHWReport(label, m.HW.Render()); err != nil {
-				return fmt.Errorf("cluster cell %s nodes=%d %s %s: hwprof-out: %w",
-					c.Scenario.Name, c.Nodes, c.Router, c.Pol.Label, err)
-			}
-		}
-		if opts.Log != nil {
-			logClusterCell(opts, c, m)
-		}
-		results[i] = m
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-var clusterLogMu sync.Mutex
-
-func logClusterCell(opts Options, c *ClusterCellSpec, m *cluster.Metrics) {
-	clusterLogMu.Lock()
-	defer clusterLogMu.Unlock()
-	var preempts int64
-	for _, nm := range m.PerNode {
-		preempts += nm.Preemptions
-	}
-	fmt.Fprintf(opts.Log,
-		"%-20s n=%-3d %-18s %-12s tok/kcyc=%.4f imb=%.3f e2e-p99=%.0f preempt=%d shed=%d fwd=%d drop=%d pfx-rate=%.2f pfx-saved=%d memo=%d/%d optrace=%d/%d resets=%d\n",
-		c.Scenario.Name, c.Nodes, c.Router, c.Pol.Label,
-		m.FleetTokensPerKCycle, m.LoadImbalance, m.E2ELatency.P99,
-		preempts, m.Shed, m.Forwarded, m.Dropped, m.PrefixHitRate, m.PrefillTokensSaved,
-		m.StepCache.MemoHits, m.StepCache.MemoHits+m.StepCache.MemoMisses,
-		m.StepCache.OpCacheHits, m.StepCache.OpCacheHits+m.StepCache.OpCacheMisses,
-		m.StepCache.SimResets)
-}
 
 // ClusterGridResult is one scenario evaluated across a node-count ×
 // router-policy matrix under one cache policy.
@@ -136,39 +30,29 @@ type ClusterGridResult struct {
 }
 
 // ClusterGrid runs one fleet scenario across every (node count,
-// router policy) cell of the matrix under a single cache policy and
-// collects the fleet metrics in matrix order. Deterministic at any
+// router policy) cell of the matrix under a single cache policy, router
+// overload control ov and node-failure schedule ft (zero values:
+// disabled), and collects the fleet metrics in matrix order. Fault node
+// indices are fleet-relative, so ft must be valid for every count in
+// nodeCounts (callers sweeping a single count, as the CLI's -faults
+// mode does, only need it valid there). Deterministic at any
 // Options.Parallel; Options.Scale divides the L2 size (see
-// RunClusterCells).
-func ClusterGrid(scn cluster.Scenario, nodeCounts []int, routers []cluster.Policy, pol Policy, opts Options) (*ClusterGridResult, error) {
-	return ClusterGridWith(scn, nodeCounts, routers, pol, cluster.OverloadConfig{}, opts)
-}
-
-// ClusterGridWith is ClusterGrid with router-level overload control
-// (saturation shedding, retry/backoff, forwarding) applied to every
-// cell.
-func ClusterGridWith(scn cluster.Scenario, nodeCounts []int, routers []cluster.Policy, pol Policy,
-	ov cluster.OverloadConfig, opts Options) (*ClusterGridResult, error) {
-	return ClusterGridFaulty(scn, nodeCounts, routers, pol, ov, cluster.FaultConfig{}, opts)
-}
-
-// ClusterGridFaulty is ClusterGridWith with a node-failure schedule
-// injected into every cell. Fault node indices are fleet-relative, so
-// the schedule must be valid for every count in nodeCounts (callers
-// sweeping a single count, as the CLI's -faults mode does, only need
-// it valid there).
-func ClusterGridFaulty(scn cluster.Scenario, nodeCounts []int, routers []cluster.Policy, pol Policy,
+// RunFleetCells).
+func ClusterGrid(scn cluster.Scenario, nodeCounts []int, routers []cluster.Policy, pol Policy,
 	ov cluster.OverloadConfig, ft cluster.FaultConfig, opts Options) (*ClusterGridResult, error) {
 	if len(nodeCounts) == 0 || len(routers) == 0 {
 		return nil, fmt.Errorf("cluster grid: empty node-count or router list")
 	}
-	cells := make([]ClusterCellSpec, 0, len(nodeCounts)*len(routers))
+	cells := make([]FleetCell, 0, len(nodeCounts)*len(routers))
 	for _, n := range nodeCounts {
 		for _, r := range routers {
-			cells = append(cells, ClusterCellSpec{Scenario: scn, Nodes: n, Router: r, Pol: pol, Overload: ov, Faults: ft})
+			cells = append(cells, FleetCell{
+				Label:    fmt.Sprintf("%s-n%d-%s-%s", scn.Name, n, r, pol.Label),
+				Scenario: scn, Nodes: n, Router: r, Pol: pol, Overload: ov, Faults: ft,
+			})
 		}
 	}
-	metrics, err := RunClusterCells(cells, opts)
+	metrics, err := RunFleetCells(cells, opts)
 	if err != nil {
 		return nil, err
 	}

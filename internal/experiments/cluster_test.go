@@ -38,11 +38,11 @@ func TestClusterGridParallelDeterminism(t *testing.T) {
 	nodeCounts := []int{1, 2}
 	routers := []cluster.Policy{{Kind: cluster.RoundRobin}, {Kind: cluster.SessionAffinity}}
 
-	serial, err := ClusterGrid(scn, nodeCounts, routers, DynMGBMA, Options{Base: &base, Parallel: 1})
+	serial, err := ClusterGrid(scn, nodeCounts, routers, DynMGBMA, cluster.OverloadConfig{}, cluster.FaultConfig{}, Options{Base: &base, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := ClusterGrid(scn, nodeCounts, routers, DynMGBMA, Options{Base: &base, Parallel: 4})
+	parallel, err := ClusterGrid(scn, nodeCounts, routers, DynMGBMA, cluster.OverloadConfig{}, cluster.FaultConfig{}, Options{Base: &base, Parallel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,27 +70,5 @@ func TestClusterGridParallelDeterminism(t *testing.T) {
 	}
 	if !strings.Contains(rendered, DynMGBMA.Label) {
 		t.Fatalf("rendered grid missing cache policy label:\n%s", rendered)
-	}
-}
-
-// TestRunClusterCellsBaseOverride: a per-cell base config override is
-// honoured (hardware sweeps under fleet load).
-func TestRunClusterCellsBaseOverride(t *testing.T) {
-	scn := clusterTestScenario(t)
-	narrow := sim.DefaultConfig()
-	narrow.NumCores = 2
-	wide := sim.DefaultConfig()
-
-	cells := []ClusterCellSpec{
-		{Scenario: scn, Nodes: 2, Router: cluster.Policy{Kind: cluster.RoundRobin}, Pol: Unopt, Base: &narrow},
-		{Scenario: scn, Nodes: 2, Router: cluster.Policy{Kind: cluster.RoundRobin}, Pol: Unopt, Base: &wide},
-	}
-	res, err := RunClusterCells(cells, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].Makespan <= res[1].Makespan {
-		t.Fatalf("2-core fleet makespan %d not above the 16-core %d",
-			res[0].Makespan, res[1].Makespan)
 	}
 }

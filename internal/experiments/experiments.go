@@ -13,7 +13,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -57,8 +56,10 @@ type Options struct {
 	// Trace configures telemetry recording for the serving and cluster
 	// grids: each cell runs with its own collector and writes its own
 	// artifact files, `%` placeholders in the Spec paths expanded to
-	// the cell's label. nil (or a Spec with no output paths) disables
-	// recording — the cells run on the exact bit-inert unrecorded
+	// the cell's label; a grid whose cell labels collide after
+	// sanitising is rejected before any simulation while a `%` path
+	// (here or in HWProfOut) is set. nil (or a Spec with no output
+	// paths) disables recording — the cells run on the exact bit-inert unrecorded
 	// paths. The single-operator figure harnesses (RunCells) have no
 	// request lifecycle and ignore it.
 	Trace *telemetry.Spec
@@ -74,15 +75,6 @@ type Options struct {
 	// cell label exactly like the Trace paths. Ignored unless
 	// HWProf.Enabled.
 	HWProfOut string
-}
-
-// writeHWReport writes one cell's rendered profile report to the
-// HWProfOut path (no-op when unset).
-func (o Options) writeHWReport(label, report string) error {
-	if o.HWProfOut == "" {
-		return nil
-	}
-	return os.WriteFile(telemetry.CellPath(o.HWProfOut, label), []byte(report), 0o644)
 }
 
 func (o Options) scale() int {

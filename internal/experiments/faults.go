@@ -13,122 +13,10 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/cluster"
-	"repro/internal/pool"
 	"repro/internal/serving"
-	"repro/internal/sim"
 )
-
-// FaultCellSpec names one fault simulation: the fleet workload, a
-// fully-specified fault configuration and the SLO goodput is judged
-// against.
-type FaultCellSpec struct {
-	Config cluster.ScenarioConfig
-	Nodes  int
-	Router cluster.Policy
-	Faults cluster.FaultConfig
-	// Pol is the cache-level (throttle, arbiter) policy every node
-	// runs.
-	Pol Policy
-	// SLO is the per-request deadline pair goodput is measured under.
-	SLO serving.SLO
-	// Base optionally overrides the grid's base configuration.
-	Base *sim.Config
-}
-
-// FaultCellResult is one cell's outcome: the full fleet metrics plus
-// the goodput-under-SLO report.
-type FaultCellResult struct {
-	Metrics *cluster.Metrics
-	Goodput serving.SLOReport
-}
-
-// RunFaultCells executes every fault cell across the bounded worker
-// pool and returns results in input order. The parallelism split and
-// determinism guarantees match RunClusterCells: cells fan out on the
-// outer pool, node engines inside each cell, and results are
-// bit-identical at any Options.Parallel.
-func RunFaultCells(cells []FaultCellSpec, opts Options) ([]FaultCellResult, error) {
-	outer := opts.parallel()
-	if outer > len(cells) {
-		outer = len(cells)
-	}
-	inner := 1
-	if outer > 0 && opts.parallel()/outer > 1 {
-		inner = opts.parallel() / outer
-	}
-	results := make([]FaultCellResult, len(cells))
-	err := pool.ForEach(len(cells), outer, func(i int) error {
-		c := &cells[i]
-		scn, err := cluster.NewScenario(c.Config)
-		if err != nil {
-			return fmt.Errorf("fault cell %s: %w", c.Config.Name, err)
-		}
-		cfg := opts.base()
-		if c.Base != nil {
-			cfg = *c.Base
-		}
-		cfg.L2SizeBytes /= opts.scale()
-		cfg.Throttle = c.Pol.Throttle
-		cfg.Arbiter = c.Pol.Arbiter
-		col := opts.Trace.Collector()
-		m, err := cluster.Run(cfg, scn, c.Nodes, c.Router,
-			cluster.Options{Parallel: inner, StepCache: opts.StepCache, Faults: c.Faults, Telemetry: col, HWProf: opts.HWProf})
-		if err != nil {
-			return fmt.Errorf("fault cell %s nodes=%d %s [%s]: %w",
-				c.Config.Name, c.Nodes, c.Router, c.Faults, err)
-		}
-		label := fmt.Sprintf("%s-n%d-%s", c.Config.Name, c.Nodes, recoveryLabel(c.Faults))
-		if col != nil {
-			if err := opts.Trace.Export(label, col); err != nil {
-				return fmt.Errorf("fault cell %s: %w", c.Config.Name, err)
-			}
-		}
-		if m.HW != nil {
-			if err := opts.writeHWReport(label, m.HW.Render()); err != nil {
-				return fmt.Errorf("fault cell %s: hwprof-out: %w", c.Config.Name, err)
-			}
-		}
-		results[i] = FaultCellResult{Metrics: m, Goodput: m.Goodput(c.SLO)}
-		if opts.Log != nil {
-			logFaultCell(opts, c, &results[i])
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-func recoveryLabel(f cluster.FaultConfig) string {
-	if f.Drop {
-		return "drop"
-	}
-	return "redispatch"
-}
-
-var faultLogMu sync.Mutex
-
-func logFaultCell(opts Options, c *FaultCellSpec, r *FaultCellResult) {
-	faultLogMu.Lock()
-	defer faultLogMu.Unlock()
-	m := r.Metrics
-	fmt.Fprintf(opts.Log,
-		"%-20s %-10s goodput=%.4f met=%d/%d failures=%d redisp=%d dropped=%d lost=%d downtime=%d\n",
-		c.Config.Name, recoveryLabel(c.Faults),
-		r.Goodput.GoodputPerKCycle, r.Goodput.MetSLO, m.Requests,
-		m.Failures, m.Redispatched, m.Dropped, m.LostTokens, m.DowntimeCycles)
-}
-
-// FaultGridCell is one failure regime evaluated under both recovery
-// policies.
-type FaultGridCell struct {
-	Redispatch FaultCellResult
-	Drop       FaultCellResult
-}
 
 // FaultGridResult is one workload evaluated across an MTBF × MTTR
 // matrix of generated failure regimes, each cell under both recovery
@@ -145,9 +33,11 @@ type FaultGridResult struct {
 	Nodes  int
 	Router cluster.Policy
 	Pol    Policy
-	SLO    serving.SLO
-	// Cells[i][j] is MTBFs[i] × MTTRs[j].
-	Cells [][]FaultGridCell
+	// SLO is the per-request deadline pair goodput is judged under.
+	SLO serving.SLO
+	// Metrics[i][j] is MTBFs[i] × MTTRs[j], recovered by redispatch
+	// ([0]) and by drop ([1]).
+	Metrics [][][2]*cluster.Metrics
 }
 
 // FaultGrid sweeps MTBF × MTTR × recovery policy for one fleet
@@ -160,28 +50,32 @@ func FaultGrid(cfg cluster.ScenarioConfig, mtbfs, mttrs []float64, seed uint64, 
 	if len(mtbfs) == 0 || len(mttrs) == 0 {
 		return nil, fmt.Errorf("fault grid: empty MTBF or MTTR list")
 	}
-	cells := make([]FaultCellSpec, 0, 2*len(mtbfs)*len(mttrs))
+	cells := make([]FleetCell, 0, 2*len(mtbfs)*len(mttrs))
 	for _, mtbf := range mtbfs {
 		for _, mttr := range mttrs {
-			for _, drop := range []bool{false, true} {
+			scfg := cfg
+			scfg.Name = fmt.Sprintf("%s/mtbf%g-mttr%g", cfg.Name, mtbf, mttr)
+			scn, err := cluster.NewScenario(scfg)
+			if err != nil {
+				return nil, fmt.Errorf("fault grid %s: %w", scfg.Name, err)
+			}
+			for _, recovery := range []string{"redispatch", "drop"} {
 				ft := cluster.FaultConfig{
 					Gen:           &cluster.FaultGen{Seed: seed, MTBF: mtbf, MTTR: mttr, Count: count},
 					DetectLatency: detect,
-					Drop:          drop,
+					Drop:          recovery == "drop",
 				}
 				if err := ft.Validate(); err != nil {
 					return nil, fmt.Errorf("fault grid mtbf=%g mttr=%g: %w", mtbf, mttr, err)
 				}
-				scfg := cfg
-				scfg.Name = fmt.Sprintf("%s/mtbf%g-mttr%g", cfg.Name, mtbf, mttr)
-				cells = append(cells, FaultCellSpec{
-					Config: scfg, Nodes: nodes, Router: router,
-					Faults: ft, Pol: pol, SLO: slo, Base: opts.Base,
+				cells = append(cells, FleetCell{
+					Label:    fmt.Sprintf("%s-n%d-%s", scfg.Name, nodes, recovery),
+					Scenario: scn, Nodes: nodes, Router: router, Pol: pol, Faults: ft,
 				})
 			}
 		}
 	}
-	results, err := RunFaultCells(cells, opts)
+	metrics, err := RunFleetCells(cells, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -189,12 +83,12 @@ func FaultGrid(cfg cluster.ScenarioConfig, mtbfs, mttrs []float64, seed uint64, 
 		Config: cfg, MTBFs: mtbfs, MTTRs: mttrs, Seed: seed, Count: count, Detect: detect,
 		Nodes: nodes, Router: router, Pol: pol, SLO: slo,
 	}
-	out.Cells = make([][]FaultGridCell, len(mtbfs))
+	out.Metrics = make([][][2]*cluster.Metrics, len(mtbfs))
 	for i := range mtbfs {
-		out.Cells[i] = make([]FaultGridCell, len(mttrs))
+		out.Metrics[i] = make([][2]*cluster.Metrics, len(mttrs))
 		for j := range mttrs {
 			k := 2 * (i*len(mttrs) + j)
-			out.Cells[i][j] = FaultGridCell{Redispatch: results[k], Drop: results[k+1]}
+			out.Metrics[i][j] = [2]*cluster.Metrics{metrics[k], metrics[k+1]}
 		}
 	}
 	return out, nil
@@ -211,11 +105,10 @@ func (g *FaultGridResult) Render() string {
 		"mtbf", "mttr", "failures", "redispatch", "drop", "redisp", "dropped", "lost", "downtime")
 	for i, mtbf := range g.MTBFs {
 		for j, mttr := range g.MTTRs {
-			c := g.Cells[i][j]
-			re, dr := c.Redispatch.Metrics, c.Drop.Metrics
+			re, dr := g.Metrics[i][j][0], g.Metrics[i][j][1]
 			fmt.Fprintf(&b, "%-10g %-10g %8d %12.4f %12.4f %8d %8d %8d %10d\n",
 				mtbf, mttr, re.Failures,
-				c.Redispatch.Goodput.GoodputPerKCycle, c.Drop.Goodput.GoodputPerKCycle,
+				re.Goodput(g.SLO).GoodputPerKCycle, dr.Goodput(g.SLO).GoodputPerKCycle,
 				re.Redispatched, dr.Dropped, dr.LostTokens, re.DowntimeCycles)
 		}
 	}

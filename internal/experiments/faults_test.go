@@ -44,37 +44,37 @@ func TestFaultGridParallelDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, row := range g.Cells {
-			for i := range row {
-				row[i].Redispatch.Metrics.StripStepCache()
-				row[i].Drop.Metrics.StripStepCache()
+		for _, row := range g.Metrics {
+			for _, pair := range row {
+				pair[0].StripStepCache()
+				pair[1].StripStepCache()
 			}
 		}
 		return g
 	}
 	serial := run(1)
 	parallel := run(runtime.GOMAXPROCS(0))
-	if !reflect.DeepEqual(serial.Cells, parallel.Cells) {
+	if !reflect.DeepEqual(serial.Metrics, parallel.Metrics) {
 		t.Fatal("fault grid results depend on worker count")
 	}
 
 	var failures int64
 	for i := range mtbfs {
 		for j := range mttrs {
-			c := serial.Cells[i][j]
+			re, dr := serial.Metrics[i][j][0], serial.Metrics[i][j][1]
 			// Both recovery policies of a cell face the same generated
 			// failures — identical incident counts and downtime schedules.
-			if c.Redispatch.Metrics.Failures != c.Drop.Metrics.Failures {
+			if re.Failures != dr.Failures {
 				t.Fatalf("cell [%d][%d]: recovery policies saw different schedules: %d vs %d failures",
-					i, j, c.Redispatch.Metrics.Failures, c.Drop.Metrics.Failures)
+					i, j, re.Failures, dr.Failures)
 			}
-			if c.Redispatch.Metrics.Dropped != 0 {
-				t.Fatalf("cell [%d][%d]: redispatch dropped %d requests", i, j, c.Redispatch.Metrics.Dropped)
+			if re.Dropped != 0 {
+				t.Fatalf("cell [%d][%d]: redispatch dropped %d requests", i, j, re.Dropped)
 			}
-			if c.Redispatch.Goodput.SLO != slo || c.Drop.Goodput.SLO != slo {
+			if re.Goodput(serial.SLO).SLO != slo || dr.Goodput(serial.SLO).SLO != slo {
 				t.Fatalf("cell [%d][%d] judged under the wrong SLO", i, j)
 			}
-			failures += c.Redispatch.Metrics.Failures
+			failures += re.Failures
 		}
 	}
 	if failures == 0 {

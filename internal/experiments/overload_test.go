@@ -45,16 +45,16 @@ func TestOverloadGridParallelDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, row := range g.Cells {
-			for i := range row {
-				row[i].Metrics.StripStepCache()
+		for _, row := range g.Metrics {
+			for _, m := range row {
+				m.StripStepCache()
 			}
 		}
 		return g
 	}
 	serial := run(1)
 	parallel := run(runtime.GOMAXPROCS(0))
-	if !reflect.DeepEqual(serial.Cells, parallel.Cells) {
+	if !reflect.DeepEqual(serial.Metrics, parallel.Metrics) {
 		t.Fatal("overload grid results depend on worker count")
 	}
 
@@ -62,15 +62,15 @@ func TestOverloadGridParallelDeterminism(t *testing.T) {
 	// regenerated population, and every combo ran its configuration.
 	for i, rate := range rates {
 		for j, combo := range combos {
-			c := serial.Cells[i][j]
-			if c.Metrics.Requests != 8 {
-				t.Fatalf("cell x%g/%s served %d requests", rate, combo.Label, c.Metrics.Requests)
+			m := serial.Metrics[i][j]
+			if m.Requests != 8 {
+				t.Fatalf("cell x%g/%s served %d requests", rate, combo.Label, m.Requests)
 			}
-			if !combo.Shed.Enabled() && (c.Metrics.Shed != 0 || c.Metrics.Dropped != 0) {
-				t.Fatalf("shed-less combo %s shed work: %+v", combo.Label, c.Metrics.Overload)
+			if !combo.Shed.Enabled() && (m.Shed != 0 || m.Dropped != 0) {
+				t.Fatalf("shed-less combo %s shed work: %+v", combo.Label, m.Overload)
 			}
-			if c.Goodput.SLO != slo {
-				t.Fatalf("cell x%g/%s judged under %+v", rate, combo.Label, c.Goodput.SLO)
+			if good := m.Goodput(serial.SLO); good.SLO != slo {
+				t.Fatalf("cell x%g/%s judged under %+v", rate, combo.Label, good.SLO)
 			}
 		}
 	}

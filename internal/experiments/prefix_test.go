@@ -45,10 +45,10 @@ func TestPrefixGridParallelDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, plane := range g.Cells {
+		for _, plane := range g.Metrics {
 			for _, row := range plane {
-				for i := range row {
-					row[i].Metrics.StripStepCache()
+				for _, m := range row {
+					m.StripStepCache()
 				}
 			}
 		}
@@ -56,7 +56,7 @@ func TestPrefixGridParallelDeterminism(t *testing.T) {
 	}
 	serial := run(1)
 	parallel := run(runtime.GOMAXPROCS(0))
-	if !reflect.DeepEqual(serial.Cells, parallel.Cells) {
+	if !reflect.DeepEqual(serial.Metrics, parallel.Metrics) {
 		t.Fatal("prefix grid results depend on worker count")
 	}
 
@@ -64,7 +64,7 @@ func TestPrefixGridParallelDeterminism(t *testing.T) {
 	for i, s := range sessions {
 		for j, c := range caches {
 			for k, rt := range routers {
-				m := serial.Cells[i][j][k].Metrics
+				m := serial.Metrics[i][j][k]
 				if m.Requests != 8 {
 					t.Fatalf("cell s%d/c%d/%s served %d requests", s, c, rt, m.Requests)
 				}

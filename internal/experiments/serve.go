@@ -11,90 +11,10 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/pool"
 	"repro/internal/serving"
-	"repro/internal/sim"
 )
-
-// ServeCellSpec names one serving simulation: a scenario under a
-// policy, optionally with a per-cell base configuration override.
-type ServeCellSpec struct {
-	Scenario serving.Scenario
-	Pol      Policy
-	// Base optionally overrides the grid's base configuration for
-	// this cell (hardware sweeps under serving load).
-	Base *sim.Config
-}
-
-// RunServeCells executes every serving cell across the bounded worker
-// pool (Options.Parallel wide) and returns the metrics in input
-// order. Options.Scale divides the L2 size exactly like the figure
-// harnesses; prompt lengths are explicit in each Scenario, which the
-// caller scales when building it. Unlike RunCells there is no shared
-// trace cache: a serving run composes a fresh multi-stream trace per
-// token step because the batch composition changes as requests are
-// admitted and retired.
-func RunServeCells(cells []ServeCellSpec, opts Options) ([]*serving.Metrics, error) {
-	results := make([]*serving.Metrics, len(cells))
-	err := pool.ForEach(len(cells), opts.parallel(), func(i int) error {
-		c := &cells[i]
-		cfg := opts.base()
-		if c.Base != nil {
-			cfg = *c.Base
-		}
-		cfg.L2SizeBytes /= opts.scale()
-		cfg.Throttle = c.Pol.Throttle
-		cfg.Arbiter = c.Pol.Arbiter
-		ropts := serving.RunOptions{StepCache: opts.StepCache, HWProf: opts.HWProf}
-		col := opts.Trace.Collector()
-		if col != nil {
-			// A serving cell is a 1-node fleet for trace purposes.
-			ropts.Recorder = col.Node(0)
-			ropts.SampleEvery = col.SampleEvery()
-		}
-		m, err := serving.RunWith(cfg, c.Scenario, ropts)
-		if err != nil {
-			return fmt.Errorf("serve cell %s %s: %w", c.Scenario.Name, c.Pol.Label, err)
-		}
-		label := c.Scenario.Name + "-" + c.Pol.Label
-		if col != nil {
-			if err := opts.Trace.Export(label, col); err != nil {
-				return fmt.Errorf("serve cell %s %s: %w", c.Scenario.Name, c.Pol.Label, err)
-			}
-		}
-		if m.HW != nil {
-			if err := opts.writeHWReport(label, m.HW.Render(label)); err != nil {
-				return fmt.Errorf("serve cell %s %s: hwprof-out: %w", c.Scenario.Name, c.Pol.Label, err)
-			}
-		}
-		if opts.Log != nil {
-			logServeCell(opts, c, m)
-		}
-		results[i] = m
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-var serveLogMu sync.Mutex
-
-func logServeCell(opts Options, c *ServeCellSpec, m *serving.Metrics) {
-	serveLogMu.Lock()
-	defer serveLogMu.Unlock()
-	fmt.Fprintf(opts.Log,
-		"%-20s %-12s tokens=%-5d steps=%-4d makespan=%-10d tok/kcyc=%.4f p50=%.0f p99=%.0f preempt=%d pfx-rate=%.2f pfx-saved=%d memo=%d/%d optrace=%d/%d resets=%d\n",
-		c.Scenario.Name, c.Pol.Label, m.Tokens, m.Steps, m.Makespan,
-		m.TokensPerKCycle, m.TokenLatency.P50, m.TokenLatency.P99,
-		m.Preemptions, m.PrefixHitRate, m.PrefillTokensSaved,
-		m.StepCache.MemoHits, m.StepCache.MemoHits+m.StepCache.MemoMisses,
-		m.StepCache.OpCacheHits, m.StepCache.OpCacheHits+m.StepCache.OpCacheMisses,
-		m.StepCache.SimResets)
-}
 
 // ServeGridResult is one scenario evaluated across a policy list.
 type ServeGridResult struct {
@@ -107,13 +27,47 @@ type ServeGridResult struct {
 // matrix and collects the serving metrics per policy. The scenario's
 // fixed-seed arrival process and the deterministic engine make every
 // cell reproducible; the parallel fan-out preserves matrix order.
-// Options.Scale divides the L2 size (see RunServeCells).
+// Options.Scale divides the L2 size exactly like the figure harnesses;
+// prompt lengths are explicit in the Scenario, which the caller scales
+// when building it. Cells run on serving.RunWith rather than as 1-node
+// fleets: a fleet would add router events to the traces and report a
+// fleet rather than a node hardware profile.
 func ServeGrid(scn serving.Scenario, policies []Policy, opts Options) (*ServeGridResult, error) {
-	cells := make([]ServeCellSpec, len(policies))
+	labels := make([]string, len(policies))
 	for i, p := range policies {
-		cells[i] = ServeCellSpec{Scenario: scn, Pol: p}
+		labels[i] = scn.Name + "-" + p.Label
 	}
-	metrics, err := RunServeCells(cells, opts)
+	if err := opts.checkLabels(labels); err != nil {
+		return nil, err
+	}
+	metrics := make([]*serving.Metrics, len(policies))
+	err := pool.ForEach(len(policies), opts.parallel(), func(i int) error {
+		label := labels[i]
+		ropts := serving.RunOptions{StepCache: opts.StepCache, HWProf: opts.HWProf}
+		col := opts.Trace.Collector()
+		if col != nil {
+			// A serving cell is a 1-node fleet for trace purposes.
+			ropts.Recorder = col.Node(0)
+			ropts.SampleEvery = col.SampleEvery()
+		}
+		m, err := serving.RunWith(opts.cellConfig(policies[i]), scn, ropts)
+		if err == nil {
+			var report func() string
+			if m.HW != nil {
+				report = func() string { return m.HW.Render(label) }
+			}
+			err = opts.writeArtifacts(label, col, report)
+		}
+		if err != nil {
+			return fmt.Errorf("serve cell %s: %w", label, err)
+		}
+		opts.logCell(label, m.StepCache,
+			"tok/kcyc=%.4f tokens=%d steps=%d makespan=%d lat-p50=%.0f lat-p99=%.0f ttft-p95=%.0f preempt=%d pfx-rate=%.2f pfx-saved=%d",
+			m.TokensPerKCycle, m.Tokens, m.Steps, m.Makespan, m.TokenLatency.P50, m.TokenLatency.P99,
+			m.TTFT.P95, m.Preemptions, m.PrefixHitRate, m.PrefillTokensSaved)
+		metrics[i] = m
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -156,4 +110,18 @@ func (g *ServeGridResult) Render() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// SchedLabel names one scheduler configuration the way the CLIs report
+// it: "decode-only", "prefill-first", "chunked/32", with a "/kv<N>"
+// suffix when KV capacity is bounded.
+func SchedLabel(s serving.SchedulerConfig) string {
+	label := s.Policy.String()
+	if s.Policy == serving.SchedChunked {
+		label = fmt.Sprintf("chunked/%d", s.ChunkTokens)
+	}
+	if s.KVCapTokens > 0 {
+		label += fmt.Sprintf("/kv%d", s.KVCapTokens)
+	}
+	return label
 }

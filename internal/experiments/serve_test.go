@@ -61,24 +61,20 @@ func TestServeGridParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunServeCellsBaseOverride: a per-cell base config override is
-// honoured (hardware sweeps under serving load).
-func TestRunServeCellsBaseOverride(t *testing.T) {
-	scn := serveTestScenario(t)
-	narrow := sim.DefaultConfig()
-	narrow.NumCores = 2
-	wide := sim.DefaultConfig()
-
-	cells := []ServeCellSpec{
-		{Scenario: scn, Pol: Unopt, Base: &narrow},
-		{Scenario: scn, Pol: Unopt, Base: &wide},
-	}
-	res, err := RunServeCells(cells, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].Makespan <= res[1].Makespan {
-		t.Fatalf("2-core serving makespan %d not above the 16-core %d",
-			res[0].Makespan, res[1].Makespan)
+// TestSchedLabel pins the scheduler labels both CLIs report.
+func TestSchedLabel(t *testing.T) {
+	for _, c := range []struct {
+		sched serving.SchedulerConfig
+		want  string
+	}{
+		{serving.SchedulerConfig{}, "decode-only"},
+		{serving.SchedulerConfig{Policy: serving.SchedDecodeOnly, KVCapTokens: 2048}, "decode-only/kv2048"},
+		{serving.SchedulerConfig{Policy: serving.SchedPrefillFirst, KVCapTokens: 2048}, "prefill-first/kv2048"},
+		{serving.SchedulerConfig{Policy: serving.SchedChunked, ChunkTokens: 16, KVCapTokens: 2048}, "chunked/16/kv2048"},
+		{serving.SchedulerConfig{Policy: serving.SchedChunked, ChunkTokens: 64, KVCapTokens: 2048}, "chunked/64/kv2048"},
+	} {
+		if got := SchedLabel(c.sched); got != c.want {
+			t.Errorf("SchedLabel(%+v) = %q, want %q", c.sched, got, c.want)
+		}
 	}
 }

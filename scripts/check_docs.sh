@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
 # check_docs.sh — the CI docs gate.
 #
-# Enforces three documentation invariants:
+# Enforces four documentation invariants:
 #   1. every package (internal/*, cmd/*, examples/*, the facade) has a
 #      package doc comment (go list -f '{{.Doc}}');
 #   2. every relative markdown link in README.md and docs/*.md
 #      resolves to an existing file;
 #   3. every flag registered by a cmd/ binary is documented in
 #      docs/EXPERIMENTS.md (the CLI reference stays in sync with the
-#      actual flag set).
+#      actual flag set);
+#   4. every `experiments.<Name>` that README.md or docs/*.md cites
+#      resolves with `go doc repro/internal/experiments <Name>`, so the
+#      prose cannot keep naming a deleted or renamed grid API.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -52,6 +55,16 @@ for main in cmd/*/main.go; do
       fail=1
     fi
   done
+done
+
+# 4. Cited experiments API exists.
+names=$(grep -ohE 'experiments\.[A-Z][A-Za-z0-9_]*' README.md docs/*.md |
+  sed 's/^experiments\.//' | sort -u || true)
+for name in $names; do
+  if ! go doc repro/internal/experiments "$name" >/dev/null 2>&1; then
+    echo "docs cite experiments.$name, which go doc repro/internal/experiments cannot resolve" >&2
+    fail=1
+  fi
 done
 
 if [ "$fail" -ne 0 ]; then
